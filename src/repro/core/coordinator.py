@@ -88,7 +88,10 @@ class CoordinatorState:
     members: dict[int, dict] = field(default_factory=dict)
     phase: str = "idle"  # idle | checkpoint | restart
     quorum: int = 0
-    barrier_arrivals: dict[str, set] = field(default_factory=dict)
+    #: the one arrival tally: barrier name -> {source fd: arrivals}.  A
+    #: direct member contributes 1; a gateway contributes its subtree's
+    #: coalesced count (repro.coord.tree)
+    barrier_arrivals: dict[str, dict] = field(default_factory=dict)
     ckpt_id: int = 0
     ckpt_options: dict = field(default_factory=dict)
     ckpt_started_at: float = 0.0
@@ -120,10 +123,6 @@ class CoordinatorState:
     tracer: Optional[Any] = None
     barrier_open: dict[str, float] = field(default_factory=dict)
     barrier_last_arrival: dict[str, float] = field(default_factory=dict)
-    #: aggregated arrivals from barrier relays (distributed-coordinator
-    #: mode): name -> count, and the relay fds to release through
-    barrier_counts: dict[str, int] = field(default_factory=dict)
-    barrier_relay_fds: dict[str, set] = field(default_factory=dict)
     #: propagation-tree mode (repro.coord.tree): connections that are
     #: gateway subtrees, not members.  Members reached through a gateway
     #: are keyed ("m", host, vpid) in ``members`` with info["via"] set to
@@ -181,6 +180,19 @@ class CoordinatorState:
         if self.tenant:
             return f"coordinator[{self.tenant}]/barrier:{name}"
         return f"coordinator/barrier:{name}"
+
+    def reset_barriers(self) -> None:
+        """Forget every in-flight barrier, closing open spans as aborted."""
+        for name in list(self.barrier_open):
+            self.barrier_open.pop(name)
+            self.barrier_last_arrival.pop(name, None)
+            if self.tracer is not None:
+                self.tracer.end(
+                    self.barrier_track(name), name, cat="barrier",
+                    tenant=self.tenant or None, aborted=True,
+                )
+        self.barrier_arrivals = {}
+        self.barrier_open_t = {}
 
     @property
     def member_count(self) -> int:
@@ -315,20 +327,9 @@ def _abort_checkpoint(sys: Sys, state: CoordinatorState, reason: str):
         return
     state.aborts += 1
     state.last_abort_reason = reason
-    tracer = state.tracer
-    if tracer is not None:
-        tracer.count("coord.ckpt_aborts", tenant=state.tenant or None)
-        for name in list(state.barrier_open):
-            state.barrier_open.pop(name)
-            state.barrier_last_arrival.pop(name, None)
-            tracer.end(
-                state.barrier_track(name), name, cat="barrier",
-                tenant=state.tenant or None, aborted=True,
-            )
-    state.barrier_arrivals = {}
-    state.barrier_counts = {}
-    state.barrier_relay_fds = {}
-    state.barrier_open_t = {}
+    if state.tracer is not None:
+        state.tracer.count("coord.ckpt_aborts", tenant=state.tenant or None)
+    state.reset_barriers()
     state.records = []
     state.images_by_host = {}
     state.done_fds = set()
@@ -349,20 +350,9 @@ def _abort_restart(sys: Sys, state: CoordinatorState, reason: str):
         return
     state.aborts += 1
     state.last_abort_reason = reason
-    tracer = state.tracer
-    if tracer is not None:
-        tracer.count("coord.restart_aborts", tenant=state.tenant or None)
-        for name in list(state.barrier_open):
-            state.barrier_open.pop(name)
-            state.barrier_last_arrival.pop(name, None)
-            tracer.end(
-                state.barrier_track(name), name, cat="barrier",
-                tenant=state.tenant or None, aborted=True,
-            )
-    state.barrier_arrivals = {}
-    state.barrier_counts = {}
-    state.barrier_relay_fds = {}
-    state.barrier_open_t = {}
+    if state.tracer is not None:
+        state.tracer.count("coord.restart_aborts", tenant=state.tenant or None)
+    state.reset_barriers()
     state.phase = "idle"
     abort = P.msg(P.MSG_CKPT_ABORT, reason=reason)
     for rfd in sorted(set(state.restarter_fds) - set(state.members)):
@@ -429,17 +419,14 @@ def _dispatch_message(sys: Sys, state: CoordinatorState, cfd: int, message: dict
         yield from _member_gone(sys, state, message)
     elif kind == P.MSG_SUBTREE_GONE:
         yield from _subtree_gone(sys, state, message)
-    elif kind == P.MSG_BARRIER:
+    elif kind == P.MSG_BARRIER or kind == P.MSG_BARRIER_COUNT:
+        # a member arrives once; a gateway carries its subtree's count
         if _stale_arrival(state, message["name"]):
             yield from _bounce_stale_arrival(sys, state, cfd)
         else:
-            yield from _barrier_arrive(sys, state, cfd, message["name"], 1)
-    elif kind == "barrier-count":
-        # a relay forwards the combined arrivals of one node
-        if _stale_arrival(state, message["name"]):
-            yield from _bounce_stale_arrival(sys, state, cfd)
-        else:
-            yield from _barrier_arrive(sys, state, cfd, message["name"], message["n"], relay=True)
+            yield from _barrier_arrive_batch(
+                sys, state, message["name"], [(cfd, message.get("n", 1))]
+            )
     elif kind == P.MSG_CKPT_DONE:
         yield from _ckpt_done(sys, state, cfd, message)
     elif kind == P.MSG_CKPT_FAILED:
@@ -524,12 +511,10 @@ def _drop_connection(state: CoordinatorState, cfd: int) -> None:
         state.gateway_fds.discard(cfd)
         for key in [k for k, i in state.members.items() if i.get("via") == cfd]:
             state.members.pop(key, None)
-        for fds in state.barrier_relay_fds.values():
-            fds.discard(cfd)
     state.members.pop(cfd, None)
     state.restarter_fds.discard(cfd)
     for arrivals in state.barrier_arrivals.values():
-        arrivals.discard(cfd)
+        arrivals.pop(cfd, None)
 
 
 def _handle_disconnect(sys: Sys, state: CoordinatorState, cfd: int):
@@ -552,39 +537,13 @@ def _handle_disconnect(sys: Sys, state: CoordinatorState, cfd: int):
         _drop_connection(state, cfd)
         if state.tracer is not None:
             state.tracer.count("coord.gateways_lost")
-        if state.phase == "checkpoint":
-            yield from _abort_checkpoint(sys, state, "gateway connection lost")
-        elif state.phase == "restart":
-            yield from _abort_restart(sys, state, "gateway connection lost")
+        # each abort is a no-op outside its own phase
+        yield from _abort_checkpoint(sys, state, "gateway connection lost")
+        yield from _abort_restart(sys, state, "gateway connection lost")
         return
-    was_member = cfd in state.members
-    was_restart_member = (
-        was_member
-        and state.members[cfd].get("restart")
-        and state.members[cfd].get("gen") == state.restart_gen
-    )
+    info = state.members.get(cfd)
     _drop_connection(state, cfd)
-    if (
-        was_restart_member
-        and state.phase == "restart"
-        and cfd not in state.done_fds  # already reported; exit is expected
-    ):
-        state.restart_total -= 1
-        for name in list(state.barrier_arrivals):
-            yield from _maybe_release(sys, state, name)
-        yield from _maybe_finish_restart(sys, state)
-        return
-    if (
-        was_member
-        and state.phase == "checkpoint"
-        and state.quorum > 0
-        and cfd not in state.done_fds  # kill-mode retirement is expected
-    ):
-        state.quorum -= 1
-        for name in list(state.barrier_arrivals):
-            yield from _maybe_release(sys, state, name)
-        if state.quorum == 0 or len(state.records) >= state.quorum:
-            yield from _finish_checkpoint(sys, state)
+    yield from _member_lost(sys, state, cfd, info)
 
 
 def _member_gone(sys: Sys, state: CoordinatorState, message: dict):
@@ -592,38 +551,36 @@ def _member_gone(sys: Sys, state: CoordinatorState, message: dict):
 
     Mirrors :func:`_handle_disconnect` for a tuple-keyed member.  The
     gateway tells us which barriers the dead member's arrival was
-    already counted toward (``arrived``); decrementing those counts is
-    the tree-mode equivalent of ``arrivals.discard(cfd)``.
+    already counted toward (``arrived``); taking one off its gateway's
+    tally entry is the tree-mode equivalent of ``arrivals.pop(cfd)``.
     """
     key = ("m", message["host"], message["vpid"])
+    info = state.members.pop(key, None)
+    via = info["via"] if info else None
     for name in message.get("arrived", ()):
-        if name in state.barrier_counts:
-            state.barrier_counts[name] = max(0, state.barrier_counts[name] - 1)
-    was_member = key in state.members
-    was_restart_member = (
-        was_member
-        and state.members[key].get("restart")
-        and state.members[key].get("gen") == state.restart_gen
-    )
-    state.members.pop(key, None)
-    if message.get("goodbye"):
-        return
+        arrivals = state.barrier_arrivals.get(name, {})
+        if arrivals.get(via):
+            arrivals[via] -= 1
+    if not message.get("goodbye"):
+        yield from _member_lost(sys, state, key, info)
+
+
+def _member_lost(sys: Sys, state: CoordinatorState, key, info: Optional[dict]):
+    """Shrink the quorum a vanished member counted toward (``info`` is
+    its membership record, None if it never registered), then re-check
+    every open barrier and the round's completion."""
+    if info is None or key in state.done_fds:
+        return  # a member that already reported may exit (kill mode)
     if (
-        was_restart_member
-        and state.phase == "restart"
-        and key not in state.done_fds
+        state.phase == "restart"
+        and info.get("restart")
+        and info.get("gen") == state.restart_gen
     ):
         state.restart_total -= 1
         for name in list(state.barrier_arrivals):
             yield from _maybe_release(sys, state, name)
         yield from _maybe_finish_restart(sys, state)
-        return
-    if (
-        was_member
-        and state.phase == "checkpoint"
-        and state.quorum > 0
-        and key not in state.done_fds  # kill-mode retirement is expected
-    ):
+    elif state.phase == "checkpoint" and state.quorum > 0:
         state.quorum -= 1
         for name in list(state.barrier_arrivals):
             yield from _maybe_release(sys, state, name)
@@ -641,10 +598,8 @@ def _subtree_gone(sys: Sys, state: CoordinatorState, message: dict):
         state.members.pop(("m", host, vpid), None)
     if state.tracer is not None:
         state.tracer.count("coord.subtrees_lost")
-    if state.phase == "checkpoint":
-        yield from _abort_checkpoint(sys, state, "gateway subtree lost")
-    elif state.phase == "restart":
-        yield from _abort_restart(sys, state, "gateway subtree lost")
+    yield from _abort_checkpoint(sys, state, "gateway subtree lost")
+    yield from _abort_restart(sys, state, "gateway subtree lost")
 
 
 def _stale_arrival(state: CoordinatorState, name: str) -> bool:
@@ -666,18 +621,12 @@ def _bounce_stale_arrival(sys: Sys, state: CoordinatorState, cfd: int):
     )
 
 
-def _barrier_arrive(
-    sys: Sys, state: CoordinatorState, cfd: int, name: str, n: int, relay: bool = False
-):
-    yield from _barrier_arrive_batch(sys, state, name, [(cfd, n, relay)])
-
-
 def _barrier_arrive_batch(
     sys: Sys, state: CoordinatorState, name: str, arrivals_list: list
 ):
     """Record one or more arrivals at a barrier, then one release check.
 
-    ``arrivals_list`` holds ``(cfd, n, relay)`` tuples.  The per-message
+    ``arrivals_list`` holds ``(cfd, n)`` pairs.  The per-message
     path always passes a single entry; the multi-tenant hub's batched
     dispatcher coalesces every arrival at one barrier within a flush
     window into a single call -- the coordinator-side analogue of the
@@ -702,25 +651,20 @@ def _barrier_arrive_batch(
             "coord.barrier_messages", len(arrivals_list),
             tenant=state.tenant or None,
         )
-    arrivals = state.barrier_arrivals.setdefault(name, set())
-    for cfd, n, relay in arrivals_list:
-        if relay:
-            state.barrier_counts[name] = state.barrier_counts.get(name, 0) + n
-            state.barrier_relay_fds.setdefault(name, set()).add(cfd)
-        else:
-            arrivals.add(cfd)
+    arrivals = state.barrier_arrivals.setdefault(name, {})
+    for cfd, n in arrivals_list:
+        arrivals[cfd] = arrivals.get(cfd, 0) + n
     yield from _maybe_release(sys, state, name)
 
 
 def _maybe_release(sys: Sys, state: CoordinatorState, name: str):
     """Release a barrier if its quorum is (now) satisfied."""
-    arrivals = state.barrier_arrivals.get(name, set())
-    total = len(arrivals) + state.barrier_counts.get(name, 0)
+    arrivals = state.barrier_arrivals.get(name, {})
+    total = sum(arrivals.values())
     quorum = state.restart_total if name.startswith("restart-") else state.quorum
     if total >= quorum > 0:
-        fds = sorted(arrivals) + sorted(state.barrier_relay_fds.pop(name, set()))
+        fds = sorted(arrivals)
         arrivals.clear()
-        state.barrier_counts.pop(name, None)
         state.barrier_stats.append(
             {
                 "name": name,
@@ -766,10 +710,6 @@ def _start_checkpoint(sys: Sys, state: CoordinatorState, options: dict):
     state.images_by_host = {}
     state.ckpt_options = dict(options)
     state.barrier_arrivals = {}
-    # a count that straggled in after its round released (coalesced
-    # relay flushes can land late) must not leak into this round
-    state.barrier_counts = {}
-    state.barrier_relay_fds = {}
     state.barrier_open_t = {}
     state.done_fds = set()
     now = yield from sys.time()

@@ -13,6 +13,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.baselines.dejavu import DejavuComputation
 from repro.core.launch import DmtcpComputation
@@ -60,14 +61,17 @@ class CoordinatorLoad:
     checkpoint_s: float
     barrier_messages: int
     coordinator_seconds_per_ckpt: float
-    relay: bool = False
+    tree_fanout: Optional[int] = None
 
 
-def run_coordinator_load(n_procs: int, seed: int = 0, relay: bool = False) -> CoordinatorLoad:
+def run_coordinator_load(
+    n_procs: int, seed: int = 0, tree_fanout: Optional[int] = None
+) -> CoordinatorLoad:
     """Barrier traffic vs computation size: many trivial processes on a
     few nodes, one checkpoint, count root-coordinator messages.  With
-    ``relay=True`` the Section 6 distributed coordinator (per-node
-    combining relays) handles the barrier path instead.
+    ``tree_fanout`` set, the Section 6 distributed coordinator (the
+    gateway tree of repro.coord.tree; a fanout >= 4 puts every node's
+    gateway directly under the root) handles the barrier path instead.
     """
     world = build_world(4, seed)
 
@@ -76,7 +80,7 @@ def run_coordinator_load(n_procs: int, seed: int = 0, relay: bool = False) -> Co
             yield from sys.sleep(0.5)
 
     world.register_program("idleproc", idle)
-    comp = DmtcpComputation(world, relay=relay)
+    comp = DmtcpComputation(world, tree_fanout=tree_fanout)
     for i in range(n_procs):
         comp.launch(f"node{i % 4:02d}", "idleproc")
     world.engine.run(until=2.0)
@@ -88,7 +92,7 @@ def run_coordinator_load(n_procs: int, seed: int = 0, relay: bool = False) -> Co
         checkpoint_s=ckpt.duration,
         barrier_messages=msgs,
         coordinator_seconds_per_ckpt=msgs * per_msg,
-        relay=relay,
+        tree_fanout=tree_fanout,
     )
 
 

@@ -322,9 +322,7 @@ def _apply_tenant(sys: Sys, hub: CoordinatorHub, state: CoordinatorState, items:
             if name not in arrivals:
                 arrivals[name] = []
                 order.append(name)
-            arrivals[name].append(
-                (cfd, message.get("n", 1), kind == P.MSG_BARRIER_COUNT)
-            )
+            arrivals[name].append((cfd, message.get("n", 1)))
             continue
         for name in order:
             yield from _flush_arrivals(sys, state, name, arrivals.pop(name))
@@ -344,7 +342,7 @@ def _flush_arrivals(sys: Sys, state: CoordinatorState, name: str, group: list):
     """Deliver one barrier's coalesced arrivals (stale-checked at apply
     time: an abort earlier in the same batch voids the whole group)."""
     if _stale_arrival(state, name):
-        for cfd, _n, _relay in group:
+        for cfd, _n in group:
             yield from _bounce_stale_arrival(sys, state, cfd)
         return
     yield from _barrier_arrive_batch(sys, state, name, group)

@@ -16,6 +16,7 @@ from repro.cluster import build_cluster
 from repro.config import CLUSTER_2008
 from repro.coord.nodeset import NodeSet
 from repro.coord.tree import TreeTopology
+from repro.core import protocol as P
 from repro.core.launch import DmtcpComputation
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.faults.supervisor import AutoRestartSupervisor
@@ -284,5 +285,61 @@ def test_gateway_dies_mid_restart_supervisor_recovers():
     _none_stranded(world)
     n = len(log)
     world.engine.run(until=world.engine.now + 3.0)
+    assert len(log) > n
+    no_failures(world)
+
+
+# ----------------------------------------------------------------------
+# Chaos: a member dies after its gateway counted its arrival
+# ----------------------------------------------------------------------
+def _run_member_dies_after_flush(victim, tree_fanout):
+    """8 members on 4 nodes.  The first member on ``victim`` is crashed
+    silently the moment the suspend barrier opens at the root, after its
+    own arrival was counted.  A member on node03 sits in a dmtcpaware
+    critical section until t=1.8, holding the barrier open past death
+    detection (heartbeat, t~1.5): in tree mode the gateway's member-gone
+    report names the barrier the dead member already counted toward."""
+    world, comp, log = _build_tree(
+        4, tree_fanout, 2, seed=99, spec=FAST_SPEC, supervise=True
+    )
+    held = [p for p in _survivors(world) if p.node.hostname == "node03"][-1]
+    runtime = held.user_state["dmtcp"]
+    runtime.delay_count += 1  # dmtcp_delay_checkpoints
+    world.engine.call_at(1.8, setattr, runtime, "delay_count", 0)
+    inj = FaultInjector(world, comp)
+    inj.arm(FaultPlan.schedule([FaultEvent(
+        "crash-process", target=victim,
+        phase=f"coordinator/barrier:{P.BARRIER_SUSPENDED}",
+    )]))
+    handle = comp.request_checkpoint()
+    world.engine.run(until=world.engine.now + 15.0)
+    assert len(inj.log) == 1, "fault never triggered"
+    return world, comp, log, handle["outcome"]
+
+
+@pytest.mark.parametrize("victim", ["node01", "node02"])
+def test_member_dies_after_gateway_flush_matches_star(victim):
+    """The arrival tally is keyed by source connection: a member-gone
+    report takes the dead member's counted arrival off its top-level
+    gateway's entry (node01's gateway is top-level; node02's reports
+    through node00's).  Without that, the tree would release the
+    suspend barrier before the member in the critical section arrives."""
+    world, comp, log, tree = _run_member_dies_after_flush(victim, 2)
+    _, _, _, star = _run_member_dies_after_flush(victim, None)
+
+    assert world.tracer.counters["coord.gw_members_lost"] == 1
+    # same ending as the star twin: the round completes without the victim
+    assert not isinstance(tree, str) and not isinstance(star, str), (tree, star)
+    assert len(tree.records) == len(star.records) == 7
+    suspended = comp.state.barrier_stats[0]
+    assert suspended["name"] == P.BARRIER_SUSPENDED
+    assert suspended["n"] == 7 and suspended["release_t"] > 1.8
+
+    # the next checkpoint spans every survivor
+    outcome = comp.checkpoint()
+    assert len(outcome.records) == 7
+    _none_stranded(world)
+    n = len(log)
+    world.engine.run(until=world.engine.now + 2.0)
     assert len(log) > n
     no_failures(world)
