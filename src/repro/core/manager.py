@@ -367,7 +367,7 @@ def _checkpoint_stages(
     clock.begin("write")
     ctx["stage"] = "write"
     image = mtcp.build_image(runtime, ckpt_id, drained)
-    image_path = mtcp.image_path(runtime, ckpt_id)
+    image_path = mtcp.image_path(runtime)
     ctx["image_path"] = image_path
     forked = bool(message.get("forked"))
     if forked:
@@ -383,18 +383,14 @@ def _checkpoint_stages(
     yield from barrier(sys, fd, asm, P.BARRIER_CHECKPOINTED, timeout)
     # every member has finished its write: the on-disk set is globally
     # consistent, so even if a later stage aborts the image must survive
-    # (incremental deltas may already chain to it next round)
     ctx["image_committed"] = True
-    if mtcp.incremental_enabled(process.env) or mtcp.store_enabled(process.env):
+    if mtcp.store_enabled(process.env):
         # every process has finished writing (Barrier 5 released) and user
         # threads stay suspended until stage 7, so clearing dirty bits --
         # including on regions shared with sibling processes -- cannot race
         # with a write that the image missed
         for region in process.address_space.regions:
             region.clean()
-    if mtcp.incremental_enabled(process.env):
-        runtime.last_image_path = image_path
-        runtime.chain_depth = image.chain_depth
     clock.end("write")
     ctx["stage"] = None
 
@@ -452,8 +448,8 @@ def _rollback_checkpoint(sys: Sys, runtime: "DmtcpRuntime", fd: int, clock: Stag
     not-yet-refilled socket data is pushed back onto the *front* of each
     receive buffer so the application still sees every byte exactly
     once, in order.  Half-written artifacts are unlinked; a fully
-    written (post-Barrier-5) image is kept because incremental deltas
-    may already chain to it.
+    written (post-Barrier-5) image is kept because every member finished
+    writing, so the on-disk set is globally consistent.
     """
     process = runtime.process
     tracer = runtime.world.tracer

@@ -32,11 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover
 METADATA_BYTES = 64 * 1024
 
 
-def incremental_enabled(env: dict) -> bool:
-    """Is the incremental checkpoint pipeline on for this process?"""
-    return env.get("DMTCP_INCREMENTAL", "0") == "1"
-
-
 def store_enabled(env: dict) -> bool:
     """Is the content-addressed chunk store on for this process?"""
     return env.get("DMTCP_STORE", "0") == "1"
@@ -58,7 +53,7 @@ def image_checksum(image: CheckpointImage) -> str:
     get wrong."""
     return (
         f"{image.ckpt_id}:{image.hostname}:{image.vpid}:{image.program}:"
-        f"{image.image_bytes}:{image.stored_bytes}:{image.chain_depth}"
+        f"{image.image_bytes}:{image.stored_bytes}"
     )
 
 
@@ -69,14 +64,15 @@ MANIFEST_BYTES = 256
 def gzip_workers(runtime: "DmtcpRuntime") -> int:
     """Parallel gzip stream count for this process's images.
 
-    ``DMTCP_GZIP_WORKERS`` overrides explicitly; otherwise the incremental
-    pipeline uses every core of the node (per :class:`CpuSpec`) and the
-    classic pipeline keeps the paper's single serial gzip.
+    ``DMTCP_GZIP_WORKERS`` overrides explicitly; otherwise the store
+    pipeline compresses its chunk streams on every core of the node (per
+    :class:`CpuSpec`) and the classic pipeline keeps the paper's single
+    serial gzip.
     """
     raw = runtime.process.env.get("DMTCP_GZIP_WORKERS")
     if raw is not None:
         return max(int(raw), 1)
-    if incremental_enabled(runtime.process.env) or store_enabled(runtime.process.env):
+    if store_enabled(runtime.process.env):
         return max(runtime.world.spec.cpu.cores, 1)
     return 1
 
@@ -126,85 +122,29 @@ def endpoint_dead(desc) -> bool:
     )
 
 
-def image_path(runtime: "DmtcpRuntime", ckpt_id: int = 0) -> str:
+def image_path(runtime: "DmtcpRuntime") -> str:
     """Image filename, unique cluster-wide.
 
     Real DMTCP names images ``ckpt_<program>_<UniquePid>.dmtcp`` where
     UniquePid is (hostid, pid, timestamp) -- vital when the checkpoint
     directory is shared storage, where same-pid processes on different
     hosts would otherwise overwrite each other's images.
-
-    With the incremental pipeline the name additionally carries the
-    checkpoint id: a delta image chains to its parent *file*, so
-    successive checkpoints must not overwrite each other.
     """
     ckpt_dir = runtime.process.env.get("DMTCP_CKPT_DIR", "/tmp/dmtcp")
     host = runtime.process.node.hostname
     stamp = f"{runtime.process.start_time:.6f}".replace(".", "")
-    suffix = f"-c{ckpt_id}" if incremental_enabled(runtime.process.env) else ""
     return (
         f"{ckpt_dir}/ckpt_{runtime.process.program}_"
-        f"{host}-{runtime.vpid}-{stamp}{suffix}.dmtcp"
+        f"{host}-{runtime.vpid}-{stamp}.dmtcp"
     )
 
 
-def _page_round(nbytes: float, page_bytes: int) -> int:
-    """Round a byte count up to whole pages (what MTCP actually writes)."""
-    return -(-int(nbytes) // page_bytes) * page_bytes
-
-
-def plan_delta(runtime: "DmtcpRuntime") -> bool:
-    """Should this checkpoint be a delta image chained to the last one?
-
-    Policy (config: :class:`DmtcpSpec`): incremental must be enabled and a
-    parent image must exist; the chain must be shorter than
-    ``incremental_max_chain``; and the address-space dirty ratio must not
-    exceed ``incremental_dirty_threshold`` (past that a delta saves
-    nothing and only lengthens restart replay).
-    """
-    if store_enabled(runtime.process.env):
-        # Store images are always "full" manifests: unchanged chunks dedup
-        # against prior generations in the store itself, so delta chains
-        # (and their orphaned-lineage failure mode) are unnecessary.
-        return False
-    if not incremental_enabled(runtime.process.env):
-        return False
-    if runtime.last_image_path is None:
-        return False
-    spec = runtime.world.spec.dmtcp
-    if runtime.chain_depth >= spec.incremental_max_chain:
-        return False
-    space = runtime.process.address_space
-    total = space.total_bytes
-    dirty = sum(r.size * r.dirty_fraction for r in space.regions)
-    return total > 0 and dirty / total <= spec.incremental_dirty_threshold
-
-
 def build_image(runtime: "DmtcpRuntime", ckpt_id: int, drained: dict[int, list]) -> CheckpointImage:
-    """Snapshot the process: memory map, threads, FD table, connections.
-
-    With the incremental pipeline (``DMTCP_INCREMENTAL=1``) and a usable
-    parent image, the image is a *delta*: every region row keeps its full
-    mapping size (restart rebuilds the address space from it) but the
-    payload -- and therefore the gzip and disk cost -- covers only the
-    pages dirtied since the parent image, page-rounded.
-    """
+    """Snapshot the process: memory map, threads, FD table, connections."""
     process = runtime.process
-    delta = plan_delta(runtime)
-    page_bytes = runtime.world.spec.os.page_bytes
     regions = [
         RegionImage(
-            r.kind,
-            r.size,
-            r.profile.name,
-            r.path,
-            r.shared,
-            dirty_bytes=(
-                min(_page_round(r.size * r.dirty_fraction, page_bytes), r.size)
-                if delta
-                else None
-            ),
-            region_id=r.region_id,
+            r.kind, r.size, r.profile.name, r.path, r.shared, region_id=r.region_id
         )
         for r in process.address_space.regions
     ]
@@ -296,10 +236,6 @@ def build_image(runtime: "DmtcpRuntime", ckpt_id: int, drained: dict[int, list])
     image.app_state = capture_app_state(process)
     compressed = runtime.process.env.get("DMTCP_GZIP", "1") == "1"
     image.compressed = compressed
-    image.delta = delta
-    if delta:
-        image.parent_image = runtime.last_image_path
-        image.chain_depth = runtime.chain_depth + 1
     image.gzip_workers = gzip_workers(runtime)
     store = runtime.world.store
     if store is not None and store_enabled(process.env):
@@ -378,7 +314,7 @@ def write_image(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage, path:
         return
     tracer = world.tracer
     track = f"{image.hostname}/mtcp[{image.vpid}]"
-    tracer.begin(track, "mtcp.write", cat="mtcp", path=path, delta=image.delta)
+    tracer.begin(track, "mtcp.write", cat="mtcp", path=path)
     try:
         est = _estimate(
             world, image.payload_regions(), image.compressed, image.gzip_workers
@@ -401,8 +337,6 @@ def write_image(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage, path:
                     "checksum": image_checksum(image),
                     "ckpt_id": image.ckpt_id,
                     "stored_bytes": image.stored_bytes,
-                    "delta": image.delta,
-                    "parent_image": image.parent_image,
                 },
             )
             yield from sys.fsync(mfd)
@@ -421,23 +355,11 @@ def write_image(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage, path:
         tracer.count("mtcp.image_bytes", image.image_bytes)
         tracer.count("mtcp.stored_bytes", image.stored_bytes)
         tracer.count("mtcp.pages_written", -(-image.stored_bytes // page_bytes))
-        if image.delta:
-            tracer.count("mtcp.delta_images")
-            full_pages = sum(
-                -(-r.size // page_bytes) for r in image.regions
-            )
-            written_pages = sum(
-                -(-payload // page_bytes)
-                for payload, _profile in image.payload_regions()
-            )
-            tracer.count("mtcp.pages_skipped", full_pages - written_pages)
         tracer.instant(
             track,
             "mtcp.compression",
             cat="mtcp",
             compressed=image.compressed,
-            delta=image.delta,
-            chain_depth=image.chain_depth,
             image_bytes=image.image_bytes,
             stored_bytes=image.stored_bytes,
             ratio=round(image.stored_bytes / max(image.image_bytes, 1), 6),
@@ -607,8 +529,6 @@ def _write_image_store(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage
                     "checksum": image_checksum(image),
                     "ckpt_id": image.ckpt_id,
                     "stored_bytes": image.stored_bytes,
-                    "delta": False,
-                    "parent_image": None,
                 },
             )
             yield from sys.fsync(mfd)
@@ -644,7 +564,6 @@ def _write_image_store(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage
             "mtcp.compression",
             cat="mtcp",
             compressed=image.compressed,
-            delta=False,
             store=True,
             chunks=len(refs),
             leased=len(need),
@@ -657,26 +576,11 @@ def _write_image_store(sys: Sys, runtime: "DmtcpRuntime", image: CheckpointImage
 def read_image(sys: Sys, path: str, validate: bool = False):
     """Restart step 0: pull the image file back off storage.
 
-    A delta image names its parent via ``parent_image``; the whole chain
-    is read (honest I/O cost per file) and attached to the returned leaf
-    image as ``image.chain``, base first, for restore_memory to replay.
-
     With ``validate`` (the supervised path: ``dmtcp_restart --validate``)
-    each file's ``.manifest`` sidecar, when present, is read back and its
+    the file's ``.manifest`` sidecar, when present, is read back and its
     checksum compared -- a torn or swapped image fails loudly here
     instead of resuming a corrupt computation.
     """
-    leaf = yield from _read_one_image(sys, path, validate)
-    chain = [leaf]
-    node = leaf
-    while node.parent_image is not None:
-        node = yield from _read_one_image(sys, node.parent_image, validate)
-        chain.append(node)
-    leaf.chain = list(reversed(chain))
-    return leaf
-
-
-def _read_one_image(sys: Sys, path: str, validate: bool = False):
     fd = yield from sys.open(path, "r")
     nbytes, payload = yield from sys.read(fd, 1 << 62)
     yield from sys.close(fd)
@@ -725,23 +629,13 @@ def restore_memory(sys: Sys, world, process, image: CheckpointImage):
         for fut in futures:
             yield fut
     else:
-        # Replay the image chain, base first: the full base instantiates
-        # every page, each delta gunzips and overwrites only its dirty
-        # pages.  The charged cost is therefore honest about the extra
-        # replay work an incremental restart does on top of a full one.
-        chain = image.chain or [image]
-        decompress = 0.0
-        instantiate_bytes = 0
-        for img in chain:
-            nworkers = min(max(img.gzip_workers, 1), max(world.spec.cpu.cores, 1))
-            est = _estimate(world, img.payload_regions(), img.compressed, nworkers)
-            decompress += est.decompress_seconds
-            instantiate_bytes += est.input_bytes
+        nworkers = min(max(image.gzip_workers, 1), max(world.spec.cpu.cores, 1))
+        est = _estimate(world, image.payload_regions(), image.compressed, nworkers)
         # gunzip plus page instantiation: copying image bytes into fresh
         # mappings and faulting them in (Table 1b's dominant restore cost)
-        instantiate = instantiate_bytes / world.spec.os.page_restore_bps
-        if decompress + instantiate > 0:
-            yield from sys.cpu(decompress + instantiate)
+        instantiate = est.input_bytes / world.spec.os.page_restore_bps
+        if est.decompress_seconds + instantiate > 0:
+            yield from sys.cpu(est.decompress_seconds + instantiate)
     from repro.kernel.memory import AddressSpace, PROFILES
 
     space = AddressSpace(world.spec.os.page_bytes)

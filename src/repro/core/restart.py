@@ -402,10 +402,6 @@ def _make_restore_child(computation, image, fdmap: dict, stage_times: dict, gate
         runtime.restart_stages["restore_memory"] = (
             dur_restore + runtime.restart_stages.pop("image_read", 0.0)
         )
-        # restored regions are fully dirty (fresh mappings), so the next
-        # incremental checkpoint must write a full base image
-        runtime.last_image_path = None
-        runtime.chain_depth = 0
 
         world.spawn_thread(
             process,

@@ -6,8 +6,9 @@
 * coordinator barrier load (Section 5.4/6: "the single checkpoint
   coordinator ... is not a bottleneck");
 * DejaVu comparison (Section 2: ~45% runtime overhead vs ~0 for DMTCP);
-* incremental pipeline (DMTCP_INCREMENTAL=1): full vs delta-chain
-  checkpoints over the Figure 3 desktop suite.
+* incremental checkpointing (a single-replica chunk store whose
+  generations dedup unchanged chunks): full vs store-backed checkpoints
+  over the Figure 3 desktop suite.
 """
 
 from __future__ import annotations
@@ -146,13 +147,14 @@ def run_dejavu_comparison(seed: int = 0, iters: int = 20, ranks: int = 8) -> Dej
 
 @dataclass
 class IncrementalAblation:
-    """Full vs incremental (DMTCP_INCREMENTAL=1) pipeline for one app.
+    """Full vs incremental (store-backed) checkpoints for one app.
 
     ``full_*`` figures come from the paper's default pipeline (every
-    checkpoint writes the whole address space); ``incr_*`` from the
-    delta-chain pipeline over the same checkpoint schedule.  The final
-    incremental checkpoint kills the computation and the restart replays
-    the base+delta chain, so ``restored_total_mb`` vs
+    checkpoint writes the whole address space); ``incr_*`` from a
+    single-replica chunk store over the same checkpoint schedule, where
+    each generation stores only the chunks written since the last one.
+    The final incremental checkpoint kills the computation and the
+    restart reads one manifest per process, so ``restored_total_mb`` vs
     ``original_total_mb`` verifies the round trip.
     """
 
@@ -162,8 +164,8 @@ class IncrementalAblation:
     incr_ckpt_s: list[float] = field(default_factory=list)
     full_stored_mb: float = 0.0
     incr_stored_mb: float = 0.0
-    delta_images: int = 0
-    pages_skipped: int = 0
+    dedup_hits: int = 0
+    pages_deduped: int = 0
     estimate_cache_hits: int = 0
     restart_s: float = 0.0
     original_total_mb: float = 0.0
@@ -204,7 +206,7 @@ def run_incremental_ablation(
     The desktop apps dirty little memory between checkpoints (their
     steady state is computation over an already-built working set), so
     the workload is well over 50% clean after the base image -- the
-    regime where a delta chain should win on both stored bytes and
+    regime where generation dedup should win on both stored bytes and
     checkpoint latency.
     """
     from repro.apps.shell_apps import program_for
@@ -221,10 +223,10 @@ def run_incremental_ablation(
         result.full_ckpt_s.append(ckpt.duration)
         result.full_stored_mb += ckpt.total_stored_bytes / MB
 
-    # -- incremental pipeline ------------------------------------------
+    # -- incremental: single-replica chunk store -----------------------
     world = build_desktop(seed)
     world.tracer.enable()
-    comp = DmtcpComputation(world, incremental=True)
+    comp = DmtcpComputation(world, store=True, store_replicas=1)
     comp.launch("node00", program_for(app))
     world.engine.run(until=warmup_s)
     kill = None
@@ -237,10 +239,11 @@ def run_incremental_ablation(
         result.incr_stored_mb += ckpt.total_stored_bytes / MB
         if last:
             kill = ckpt
+    stats = world.store.stats
+    result.dedup_hits = int(stats["dedup_hits"])
+    result.pages_deduped = int(stats["dedup_bytes"]) // world.spec.os.page_bytes
     counters = world.tracer.snapshot()
-    result.delta_images = int(counters.get("mtcp.delta_images", 0))
-    result.pages_skipped = int(counters.get("mtcp.pages_skipped", 0))
-    result.estimate_cache_hits = int(counters.get("mtcp.estimate_cache_hits", 0))
+    result.estimate_cache_hits = int(counters.get("store.estimate_cache_hits", 0))
     restart = comp.restart(plan=kill.plan)
     result.restart_s = restart.duration
     result.restored_total_mb = _hijacked_total_bytes(world) / MB

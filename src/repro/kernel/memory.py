@@ -161,7 +161,9 @@ class MemoryRegion:
         self.written = True
 
     def clean(self) -> None:
-        """Reset dirty tracking (called after an incremental checkpoint)."""
+        """Reset dirty tracking: at Barrier 5 of a store-mode checkpoint
+        (the next generation bumps only chunks written after it) and after
+        a DejaVu baseline checkpoint re-protects its pages."""
         self.dirty_fraction = 0.0
 
     def clone(self) -> "MemoryRegion":

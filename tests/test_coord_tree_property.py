@@ -11,7 +11,7 @@ Pid alignment: pids are allocated per node, and tree mode consumes one
 pid per node for its gateway.  The star world therefore spawns one
 inert placeholder process per node at the same point, so every app
 lands on the same vpid in both worlds and the checksums (which cover
-``ckpt_id:hostname:vpid:program:image_bytes:stored_bytes:chain_depth``)
+``ckpt_id:hostname:vpid:program:image_bytes:stored_bytes``)
 are directly comparable.
 """
 
@@ -186,10 +186,12 @@ def test_fanout_covering_all_nodes_equals_star():
 
 
 def test_incremental_chain_equals_star():
-    """Delta images (chain_depth > 0 in the checksum) are byte-identical
-    through the tree: full base, then an incremental on dirty pages."""
-    star_world, star = _build([1, 1, 1], seed=9, incremental=True)
-    tree_world, tree = _build([1, 1, 1], seed=9, fanout=2, incremental=True)
+    """Incremental checkpoints (store generations whose unchanged chunks
+    dedup against the previous one) are byte-identical through the
+    tree: a first generation, then a second that dedups."""
+    incremental = {"store": True, "store_replicas": 1}
+    star_world, star = _build([1, 1, 1], seed=9, **incremental)
+    tree_world, tree = _build([1, 1, 1], seed=9, fanout=2, **incremental)
     for comp in (star, tree):
         comp.checkpoint()
     star_world.engine.run(until=star_world.engine.now + 1.0)
@@ -200,6 +202,8 @@ def test_incremental_chain_equals_star():
         tree_world, tree_out.plan
     )
     assert _releases(star) == _releases(tree)
+    hits = star_world.store.stats["dedup_hits"]
+    assert hits > 0 and hits == tree_world.store.stats["dedup_hits"]
     _no_failures(star_world, tree_world)
 
 

@@ -1,8 +1,11 @@
 """Unit tests for the fault-injection subsystem (``repro.faults``)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import build_cluster
+from repro.config import CLUSTER_2008
 from repro.core.launch import DmtcpComputation
 from repro.faults import (
     FAULT_KINDS,
@@ -11,6 +14,7 @@ from repro.faults import (
     FaultPlan,
     find_newest_valid_plan,
 )
+from repro.faults.supervisor import LineageSkipped
 from repro.faults.scenarios import _chaos_apps
 
 
@@ -155,3 +159,48 @@ def test_find_newest_valid_plan_skips_partial_checkpoints():
     world, comp = _checkpointed_world()
     # a quorum-shrunk checkpoint covering 1 of 2 expected processes
     assert find_newest_valid_plan(world, comp.state, expected=2) is None
+
+
+def test_find_newest_valid_plan_rejects_mixed_cut():
+    """The default pipeline reuses one image name per process.  When a
+    member dies mid-round, the round completes without it and the
+    survivor overwrites its file with the newer generation, so the older
+    full plan now names one file per checkpoint: a mixed cut that must
+    be skipped, not restored."""
+    spec = CLUSTER_2008.with_(
+        dmtcp=replace(
+            CLUSTER_2008.dmtcp,
+            barrier_timeout_s=1.0,
+            heartbeat_interval_s=0.5,
+            member_recv_timeout_s=2.0,
+        )
+    )
+    world = build_cluster(n_nodes=2, seed=8, spec=spec)
+
+    def app(sys, argv):
+        while True:
+            yield from sys.sleep(0.25)
+
+    world.register_program("idleapp", app)
+    comp = DmtcpComputation(world, supervise=True)
+    for host in ("node00", "node01"):
+        comp.launch(host, "idleapp")
+    world.engine.run(until=1.0)
+    comp.checkpoint()
+    inj = FaultInjector(world, comp)
+    inj.arm(FaultPlan.schedule([FaultEvent(
+        "crash-process", target="node01", phase="coordinator/barrier:suspended",
+    )]))
+    handle = comp.request_checkpoint()
+    world.engine.run(until=world.engine.now + 15.0)
+    assert len(inj.log) == 1, "fault never triggered"
+    second = handle["outcome"]
+    assert second.ckpt_id == 2 and len(second.records) == 1
+    assert len(comp.state.history) == 2
+
+    assert find_newest_valid_plan(world, comp.state, expected=2) is None
+    skips = [exc for _t, exc in world.scheduler.failures
+             if isinstance(exc, LineageSkipped)]
+    assert len(skips) == 1
+    assert str(skips[0]).startswith("checkpoint 1: image ")
+    assert "node00" in str(skips[0])

@@ -1,20 +1,23 @@
-"""Incremental checkpoint pipeline (DMTCP_INCREMENTAL=1) tests.
+"""Incremental checkpointing tests.
 
-Covers the delta-image chain (build, fallback policy, restart replay on a
-different node), the parallel-gzip cost model, the compression-estimate
-cache, and the unchanged behaviour of the default (full-image) pipeline.
+Incremental checkpointing is the chunk store's generation dedup
+(``store=True, store_replicas=1``): each checkpoint stores only the
+chunks written since the previous generation, and restart reads one
+manifest per process.  Also covers the parallel-gzip cost model, the
+compression-estimate cache, and the unchanged behaviour of the default
+(full-image) pipeline.
 """
-
-from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 
 from repro.cluster import build_cluster
-from repro.config import CLUSTER_2008, CpuSpec
-from repro.core import compression, mtcp
+from repro.config import CpuSpec
+from repro.core import compression
 from repro.core.launch import DmtcpComputation
 from repro.kernel.world import HIJACK_ENV
+
+#: The incremental configuration: a single-replica local chunk store.
+INCREMENTAL = {"store": True, "store_replicas": 1}
 
 
 @pytest.fixture()
@@ -49,39 +52,39 @@ def app_process(world):
 
 def launch_toucher(world, fraction: float = 0.2, **comp_kwargs):
     world.register_program("toucher", toucher_program(fraction))
-    comp = DmtcpComputation(world, incremental=True, **comp_kwargs)
+    comp = DmtcpComputation(world, **comp_kwargs)
     comp.launch("node00", "toucher")
     world.engine.run(until=1.0)
     return comp
 
 
+def image_at(world, host, path):
+    return world.node_state(host).mounts.resolve(path).namespace.lookup(path).payload
+
+
 # ----------------------------------------------------------------------
-# Delta images
+# Generation dedup
 # ----------------------------------------------------------------------
 
 def test_second_checkpoint_is_delta_and_smaller(world):
-    world.tracer.enable()
-    comp = launch_toucher(world)
+    comp = launch_toucher(world, **INCREMENTAL)
     first = comp.checkpoint()
+    hits_before = world.store.stats["dedup_hits"]
     world.engine.run(until=world.engine.now + 0.5)
     second = comp.checkpoint()
-    counters = world.tracer.snapshot()
-    assert counters.get("mtcp.delta_images") == 1
-    assert counters.get("mtcp.pages_skipped", 0) > 0
+    # the unchanged chunks dedup against the first generation
+    assert world.store.stats["dedup_hits"] > hits_before
     assert second.total_stored_bytes < first.total_stored_bytes
-    # the delta's region table still spans the full address space
-    path = second.plan.images_by_host["node00"][0]
-    ns = world.node_state("node00")
-    image = ns.mounts.resolve(path).namespace.lookup(path).payload
-    assert image.delta and image.chain_depth == 1
-    assert image.parent_image in first.plan.images_by_host["node00"]
+    # the manifest's region table still spans the full address space
+    image = image_at(world, "node00", second.plan.images_by_host["node00"][0])
+    assert image.ckpt_id == second.ckpt_id and image.store_refs
     space = app_process(world).address_space
     assert sum(r.size for r in image.regions) == space.total_bytes
     no_failures(world)
 
 
 def test_regions_cleaned_at_barrier_five(world):
-    comp = launch_toucher(world)
+    comp = launch_toucher(world, **INCREMENTAL)
     space = app_process(world).address_space
     assert any(r.dirty_fraction == 1.0 for r in space.regions)  # born dirty
     comp.checkpoint()
@@ -95,130 +98,58 @@ def test_regions_cleaned_at_barrier_five(world):
 
 
 def test_incremental_disabled_keeps_default_pipeline(world):
-    world.tracer.enable()
-    world.register_program("toucher", toucher_program())
-    comp = DmtcpComputation(world)  # incremental defaults off
-    comp.launch("node00", "toucher")
-    world.engine.run(until=1.0)
+    comp = launch_toucher(world)  # the paper's default: no store
     first = comp.checkpoint()
     second = comp.checkpoint()
-    counters = world.tracer.snapshot()
-    assert counters.get("mtcp.delta_images", 0) == 0
-    path = second.plan.images_by_host["node00"][0]
-    assert "-c" not in path.rsplit("/", 1)[1].replace("ckpt_", "")
+    assert world.store is None
     # successive checkpoints overwrite the same stable filename
     assert first.plan.images_by_host == second.plan.images_by_host
-    ns = world.node_state("node00")
-    image = ns.mounts.resolve(path).namespace.lookup(path).payload
-    assert not image.delta and image.parent_image is None
+    image = image_at(world, "node00", second.plan.images_by_host["node00"][0])
+    assert image.store_refs is None
     assert image.gzip_workers == 1
     no_failures(world)
-
-
-# ----------------------------------------------------------------------
-# Fallback policy
-# ----------------------------------------------------------------------
-
-def test_chain_depth_fallback_writes_full_image():
-    spec = CLUSTER_2008.with_(
-        dmtcp=replace(CLUSTER_2008.dmtcp, incremental_max_chain=1)
-    )
-    world = build_cluster(n_nodes=2, seed=23, spec=spec)
-    world.tracer.enable()
-    comp = launch_toucher(world)
-    for _ in range(3):
-        comp.checkpoint()
-        world.engine.run(until=world.engine.now + 0.2)
-    # full, delta (depth 1), full again (chain at max), so exactly 1 delta
-    assert world.tracer.snapshot().get("mtcp.delta_images") == 1
-    no_failures(world)
-
-
-def test_plan_delta_policy_unit():
-    spec = CLUSTER_2008
-    region = SimpleNamespace(size=1000, dirty_fraction=0.5)
-    runtime = SimpleNamespace(
-        process=SimpleNamespace(
-            env={"DMTCP_INCREMENTAL": "1"},
-            address_space=SimpleNamespace(total_bytes=1000, regions=[region]),
-        ),
-        world=SimpleNamespace(spec=spec),
-        last_image_path="/tmp/dmtcp/base.dmtcp",
-        chain_depth=0,
-    )
-    assert mtcp.plan_delta(runtime)
-    runtime.last_image_path = None  # no parent: must write a base
-    assert not mtcp.plan_delta(runtime)
-    runtime.last_image_path = "/tmp/dmtcp/base.dmtcp"
-    runtime.chain_depth = spec.dmtcp.incremental_max_chain  # chain full
-    assert not mtcp.plan_delta(runtime)
-    runtime.chain_depth = 0
-    region.dirty_fraction = 0.95  # nearly everything dirty: delta useless
-    assert not mtcp.plan_delta(runtime)
-    runtime.process.env = {}  # pipeline off
-    region.dirty_fraction = 0.5
-    assert not mtcp.plan_delta(runtime)
 
 
 # ----------------------------------------------------------------------
 # Restart
 # ----------------------------------------------------------------------
 
-def test_restart_on_different_node_replays_chain(world):
-    comp = launch_toucher(world)
-    comp.checkpoint()  # full base
+def test_restart_on_different_node_restores_latest_generation(world):
+    comp = launch_toucher(world, **INCREMENTAL)
+    comp.checkpoint()
     world.engine.run(until=world.engine.now + 0.5)
     original_bytes = app_process(world).address_space.total_bytes
-    kill = comp.checkpoint(kill=True)  # delta leaf
+    kill = comp.checkpoint(kill=True)
     leaf = kill.plan.images_by_host["node00"][0]
     outcome = comp.restart(plan=kill.plan, placement={"node00": "node01"})
     assert outcome.records
     restored = app_process(world)
     assert restored.node.hostname == "node01"
     assert restored.address_space.total_bytes == original_bytes
-    # the whole chain travelled to the relocation target
-    ns = world.node_state("node01")
-    image = ns.mounts.resolve(leaf).namespace.lookup(leaf).payload
-    assert image.delta
-    parent = ns.mounts.resolve(image.parent_image).namespace.lookup(image.parent_image)
-    assert parent is not None
+    # one manifest travelled to the relocation target
+    image = image_at(world, "node01", leaf)
+    assert image.ckpt_id == kill.ckpt_id and image.store_refs
     # the app keeps running on the new node
     world.engine.run(until=world.engine.now + 1.0)
     assert restored.alive
     no_failures(world)
 
 
-def test_restart_resets_chain_so_next_checkpoint_is_full(world):
-    world.tracer.enable()
-    comp = launch_toucher(world)
-    comp.checkpoint()
-    kill = comp.checkpoint(kill=True)  # delta
-    comp.restart(plan=kill.plan)
-    world.engine.run(until=world.engine.now + 0.5)
-    outcome = comp.checkpoint()
-    path = outcome.plan.images_by_host["node00"][0]
-    ns = world.node_state("node00")
-    image = ns.mounts.resolve(path).namespace.lookup(path).payload
-    assert not image.delta and image.chain_depth == 0
-    assert world.tracer.snapshot().get("mtcp.delta_images") == 1  # only the kill
-    no_failures(world)
-
-
-def test_incremental_restart_costs_more_than_base_only():
-    # replaying base + delta must charge strictly more reconstruction
-    # work than restarting the base alone would
+def test_incremental_restart_cost_does_not_grow_with_generations():
+    # restart reads one manifest per process: however many generations
+    # came before, it fetches and instantiates the same address space
     def run(kill_at):
         world = build_cluster(n_nodes=2, seed=23)
-        comp = launch_toucher(world)
+        comp = launch_toucher(world, **INCREMENTAL)
         kill = None
         for i in range(kill_at):
             kill = comp.checkpoint(kill=(i == kill_at - 1))
             world.engine.run(until=world.engine.now + 0.3)
         return comp.restart(plan=kill.plan).duration
 
-    base_only = run(1)
-    with_delta = run(2)
-    assert with_delta > base_only
+    one = run(1)
+    assert run(2) == pytest.approx(one, rel=1e-9)
+    assert run(4) == pytest.approx(one, rel=1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +158,7 @@ def test_incremental_restart_costs_more_than_base_only():
 
 def _stored_sizes(seed: int) -> list[int]:
     world = build_cluster(n_nodes=2, seed=seed)
-    comp = launch_toucher(world)
+    comp = launch_toucher(world, **INCREMENTAL)
     sizes = []
     for _ in range(3):
         sizes.append(comp.checkpoint().total_stored_bytes)
@@ -243,22 +174,20 @@ def test_delta_sizes_deterministic_across_runs():
 
 
 def test_incremental_beats_full_on_mostly_clean_workload():
-    # acceptance: >= 50% clean between checkpoints => the delta stores
-    # strictly fewer bytes and finishes in strictly less simulated time
-    def run(incremental):
+    # acceptance: >= 50% clean between checkpoints => the second
+    # generation stores strictly fewer bytes and finishes in strictly
+    # less simulated time than the full pipeline's second image
+    def run(**comp_kwargs):
         world = build_cluster(n_nodes=2, seed=23)
-        world.register_program("toucher", toucher_program(fraction=0.2))
-        comp = DmtcpComputation(world, incremental=incremental)
-        comp.launch("node00", "toucher")
-        world.engine.run(until=1.0)
+        comp = launch_toucher(world, **comp_kwargs)
         comp.checkpoint()
         world.engine.run(until=world.engine.now + 0.5)
         second = comp.checkpoint()
         no_failures(world)
         return second
 
-    full = run(False)
-    incr = run(True)
+    full = run()
+    incr = run(**INCREMENTAL)
     assert incr.total_stored_bytes < full.total_stored_bytes
     assert incr.duration < full.duration
 
@@ -336,7 +265,7 @@ def test_estimate_cache_lru_bound():
 
 def test_checkpoint_populates_estimate_cache(world):
     world.tracer.enable()
-    comp = launch_toucher(world)
+    comp = launch_toucher(world)  # default pipeline: whole-image estimates
     compression.ESTIMATE_CACHE.clear()
     comp.checkpoint()
     # build and write both estimate the same payload: one miss, one hit

@@ -287,34 +287,41 @@ def test_store_rejects_forked_checkpoints():
 # ----------------------------------------------------------------------
 
 def test_supervisor_logs_lineage_skip_when_newest_images_invalid():
-    world = build_world(2, seed=0)
-    _register_heapworker(world)
-    comp = DmtcpComputation(world, incremental=True)
-    comp.launch("node00", "heapworker")
-    world.engine.run(until=1.0)
-    comp.checkpoint()
-    world.engine.run(until=world.engine.now + 0.5)
-    newest = comp.checkpoint()
-    world.tracer.enable()
-    # corrupt the newest checkpoint's images (torn write: no payload)
-    bad = []
-    for host, paths in newest.plan.images_by_host.items():
-        for path in paths:
-            _image_file(world, host, path).payload = None
-            bad.append((host, path))
-    chosen = find_newest_valid_plan(world, comp.state, expected=1)
-    assert chosen is not None and chosen.ckpt_id < newest.ckpt_id
-    # the skip is queryable, not silent
-    failures = world.scheduler.failures
-    assert len(failures) == len(bad)
-    host = bad[0][0]
-    assert failures.by_host(host)
-    assert failures.by_program("heapworker")
-    assert all(isinstance(exc, LineageSkipped) for _t, exc in failures)
-    assert world.tracer.counters.get("store.lineage_skipped") == len(bad)
-    # polling again does not re-log the same skip
-    find_newest_valid_plan(world, comp.state, expected=1)
-    assert len(failures) == len(bad)
+    # checkpoint -> checkpoint(kill) -> restart -> checkpoint: the
+    # restarted process has a new start-time stamp, so its images get new
+    # names and the killed checkpoint's files stay intact
+    for store in (False, True):
+        world = build_world(2, seed=0)
+        _register_heapworker(world)
+        comp = DmtcpComputation(world, store=store)
+        comp.launch("node00", "heapworker")
+        world.engine.run(until=1.0)
+        comp.checkpoint()
+        world.engine.run(until=world.engine.now + 0.5)
+        killed = comp.checkpoint(kill=True)
+        comp.restart(plan=killed.plan)
+        world.engine.run(until=world.engine.now + 0.5)
+        newest = comp.checkpoint()
+        world.tracer.enable()
+        # corrupt the newest checkpoint's images (torn write: no payload)
+        bad = []
+        for host, paths in newest.plan.images_by_host.items():
+            for path in paths:
+                _image_file(world, host, path).payload = None
+                bad.append((host, path))
+        chosen = find_newest_valid_plan(world, comp.state, expected=1)
+        assert chosen is not None and chosen.ckpt_id == killed.ckpt_id, store
+        # the skip is queryable, not silent
+        failures = world.scheduler.failures
+        assert len(failures) == len(bad)
+        host = bad[0][0]
+        assert failures.by_host(host)
+        assert failures.by_program("heapworker")
+        assert all(isinstance(exc, LineageSkipped) for _t, exc in failures)
+        assert world.tracer.counters.get("store.lineage_skipped") == len(bad)
+        # polling again does not re-log the same skip
+        find_newest_valid_plan(world, comp.state, expected=1)
+        assert len(failures) == len(bad)
 
 
 def test_store_image_restorable_feeds_supervisor_validation():
