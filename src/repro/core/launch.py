@@ -76,6 +76,26 @@ def resolve_store_replicas(explicit: Optional[int], spec) -> int:
     return replicas
 
 
+class _FillHandle:
+    """Completion hook: fills ``handle["outcome"]`` once, then unhooks.
+
+    A slotted callable rather than a closure: a closure that removes
+    itself from ``hooks`` names itself through its own cell, a reference
+    cycle left behind by every checkpoint and restart request.
+    """
+
+    __slots__ = ("handle", "hooks")
+
+    def __init__(self, handle: dict, hooks: list) -> None:
+        self.handle = handle
+        self.hooks = hooks
+
+    def __call__(self, outcome) -> None:
+        if self.handle["outcome"] is None:
+            self.handle["outcome"] = outcome
+            self.hooks.remove(self)
+
+
 class DmtcpComputation:
     """One coordinator plus every process launched under it."""
 
@@ -368,12 +388,7 @@ class DmtcpComputation:
                 "inside the write, which a background COW writer would race"
             )
         handle: dict = {"outcome": None}
-
-        def on_complete(outcome: CheckpointOutcome) -> None:
-            if handle["outcome"] is None:
-                handle["outcome"] = outcome
-                self.state.on_checkpoint_complete.remove(on_complete)
-
+        on_complete = _FillHandle(handle, self.state.on_checkpoint_complete)
         self.state.on_checkpoint_complete.append(on_complete)
         argv = ["dmtcp_command", "checkpoint"]
         if kill:
@@ -456,13 +471,9 @@ class DmtcpComputation:
         if self.store is not None:
             self._check_store_restorable(plan)
         handle: dict = {"outcome": None}
-
-        def on_complete(outcome: RestartOutcome) -> None:
-            if handle["outcome"] is None:
-                handle["outcome"] = outcome
-                self.state.on_restart_complete.remove(on_complete)
-
-        self.state.on_restart_complete.append(on_complete)
+        self.state.on_restart_complete.append(
+            _FillHandle(handle, self.state.on_restart_complete)
+        )
         total = plan.total_processes
         for orig_host, paths in sorted(plan.images_by_host.items()):
             target = placement.get(orig_host, orig_host)

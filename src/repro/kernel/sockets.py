@@ -86,6 +86,12 @@ class SocketEndpoint(Description):
                 # FIN after one propagation delay
                 delay = 0.0 if peer.node is self.node else self.world.spec.network.latency_s
                 self.world.engine.call_after(delay, peer.rx.set_eof)
+        elif peer is not None:
+            # second end closed: nothing reads the pair any more, so drop
+            # the a.peer <-> b.peer cycle (and both ends' buffers with it)
+            # instead of leaving it to the cyclic collector
+            peer.peer = None
+            self.peer = None
         self.rx.cancel_waiters()
 
     def __repr__(self) -> str:  # pragma: no cover

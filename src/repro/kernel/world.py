@@ -207,6 +207,39 @@ class _RecvAttempt:
             ep.rx.add_data_waiter(self)
 
 
+class _AcceptAttempt:
+    """One blocking accept: re-arms itself on the listener's backlog.
+
+    A slotted callable rather than a closure: a closure that passes
+    itself to ``add_done`` names itself through its own cell, and every
+    accept would leave a reference cycle for the collector.
+    """
+
+    __slots__ = ("task", "epoch", "process", "listener")
+
+    def __init__(self, task: Task, process: Process, listener: ListenerSocket):
+        self.task = task
+        self.epoch = task.epoch
+        self.process = process
+        self.listener = listener
+
+    def __call__(self) -> None:
+        task = self.task
+        if task.done or task.epoch != self.epoch or task.state is TaskState.FROZEN:
+            return
+        if task.pending_call is None:
+            return
+        listener = self.listener
+        if listener.backlog:
+            ep = listener.backlog.pop(0)
+            ep.origin = "accept"
+            task.complete_call(self.process.alloc_fd(ep))
+        elif listener.closed:
+            task.fail_call(SyscallError("EBADF", "listener closed"))
+        else:
+            listener.wait_backlog().add_done(self)
+
+
 class _RecvTimeout:
     """Expires a blocking recv with ETIMEDOUT (SO_RCVTIMEO analogue).
 
@@ -1147,24 +1180,7 @@ class World:
         desc = process.get_fd(fd)
         if not isinstance(desc, ListenerSocket):
             raise SyscallError("EINVAL", f"fd {fd} is not listening")
-        epoch = task.epoch
-
-        def attempt() -> None:
-            if task.done or task.epoch != epoch or task.state is TaskState.FROZEN:
-                return
-            if task.pending_call is None:
-                return
-            if desc.backlog:
-                ep = desc.backlog.pop(0)
-                ep.origin = "accept"
-                new_fd = process.alloc_fd(ep)
-                task.complete_call(new_fd)
-            elif desc.closed:
-                task.fail_call(SyscallError("EBADF", "listener closed"))
-            else:
-                desc.wait_backlog().add_done(attempt)
-
-        attempt()
+        _AcceptAttempt(task, process, desc)()
 
     def _sys_connect(self, task, thread, process, fd, host, port, path) -> None:
         ep = self._socket_desc(process, fd)

@@ -10,6 +10,11 @@ goes, not simulated time.  This module runs a scenario under
   the syscall layer Y%" is one table instead of archaeology;
 * **per function** -- the usual tottime top-N for drilling in.
 
+Pauses of CPython's cyclic collector are recorded separately through
+``gc.callbacks``.  cProfile bills a collection to whichever frame
+happened to allocate when it triggered, so the pauses are already
+inside the tables above; their own row says how much of it they are.
+
 When the scenario exposes a tracer (the ``obs`` trace scenarios do), its
 counters are attached to the report so host time can be read against
 simulated volume (events fired, context switches, syscalls dispatched).
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import cProfile
 import dataclasses
+import gc
 import io
 import pstats
 import time
@@ -130,6 +136,10 @@ class ProfileReport:
     top_functions: list[tuple[float, int, str]]
     #: Tracer counters, when the scenario returned an enabled tracer.
     counters: dict[str, float]
+    #: Cyclic-collector runs per generation (0, 1, 2) during the scenario.
+    gc_collections: list[int]
+    #: Host seconds spent in those collections.
+    gc_pause_s: float
 
 
 def _subsystem_of(filename: str) -> str:
@@ -142,6 +152,22 @@ def _subsystem_of(filename: str) -> str:
     return head[:-3] if head.endswith(".py") else head
 
 
+class _CollectorPauses:
+    """``gc.callbacks`` hook: collections per generation and their seconds."""
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.seconds = 0.0
+        self._start = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._start = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._start
+            self.collections[info["generation"]] += 1
+
+
 def profile_scenario(name: str, seed: int = 0, top: int = 25) -> ProfileReport:
     """Run scenario ``name`` under cProfile and roll up the results."""
     if name not in PERF_SCENARIOS:
@@ -150,10 +176,15 @@ def profile_scenario(name: str, seed: int = 0, top: int = 25) -> ProfileReport:
         )
     fn = PERF_SCENARIOS[name]
     prof = cProfile.Profile()
+    pauses = _CollectorPauses()
+    gc.callbacks.append(pauses)
     t0 = time.perf_counter()
     prof.enable()
-    result = fn(seed)
-    prof.disable()
+    try:
+        result = fn(seed)
+    finally:
+        prof.disable()
+        gc.callbacks.remove(pauses)
     wall = time.perf_counter() - t0
 
     stats = pstats.Stats(prof, stream=io.StringIO())
@@ -181,6 +212,8 @@ def profile_scenario(name: str, seed: int = 0, top: int = 25) -> ProfileReport:
         subsystems=dict(sorted(subsystems.items(), key=lambda kv: kv[1], reverse=True)),
         top_functions=rows[:top],
         counters=counters,
+        gc_collections=pauses.collections,
+        gc_pause_s=pauses.seconds,
     )
 
 
@@ -195,6 +228,12 @@ def format_report(report: ProfileReport) -> str:
     total = sum(report.subsystems.values()) or 1.0
     for sub, t in report.subsystems.items():
         out.append(f"  {sub:16s} {t:8.3f} s  {100.0 * t / total:5.1f}%")
+    gens = ", ".join(f"gen{g} {n}" for g, n in enumerate(report.gc_collections))
+    out.append(
+        f"  {'(gc pauses)':16s} {report.gc_pause_s:8.3f} s  "
+        f"{100.0 * report.gc_pause_s / total:5.1f}%  "
+        f"billed inside the frames above ({gens})"
+    )
     out.append("")
     out.append("hottest functions (tottime):")
     for tottime, calls, where in report.top_functions:

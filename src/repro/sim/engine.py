@@ -5,7 +5,7 @@ callbacks at virtual times.  Determinism is guaranteed by breaking ties in
 (time, insertion sequence) order, so two runs with the same seed replay the
 same interleaving.
 
-Two hot-path design points (see DESIGN.md §8):
+Three hot-path design points (see DESIGN.md §8):
 
 * Heap entries are ``(time, seq, event)`` tuples, so ``heapq`` compares
   floats and ints at C speed instead of calling ``Event.__lt__``.
@@ -17,18 +17,62 @@ Two hot-path design points (see DESIGN.md §8):
   time always carry smaller sequence numbers than anything in the FIFO
   -- draining the heap first, then the FIFO, replays the exact global
   ``(time, seq)`` order the pure-heap engine produces.
+* The driver loops own CPython's cyclic collector while they run: the
+  graph built before the run is frozen out of collection and the gen-0
+  threshold is raised, so the collector stops re-walking a world of
+  thousands of long-lived processes, sockets and continuations.  Both
+  are restored when the loop exits, by return or by raise.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
+import threading
 from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 
 _new_event = object.__new__
+
+#: Gen-0 collection threshold while a driver loop runs.  At CPython's
+#: default of 700 the event loop's churn triggers thousands of young
+#: collections per run, and their promotions keep scheduling full passes
+#: over the whole simulated world.
+RUN_GC_THRESHOLD = 50_000
+
+
+#: The collector is process-wide, and the inline shard backend
+#: (repro.sim.parallel) runs engines in concurrent threads: taking or
+#: handing back the policy must be one step, or two entering runs can
+#: both read "not frozen" and the later one saves the raised threshold.
+_collector_lock = threading.Lock()
+
+
+def _collector_enter() -> Optional[tuple[int, int, int]]:
+    """Apply the run-scoped collector policy; returns what to restore.
+
+    Returns None -- and changes nothing -- when the heap is already
+    frozen: an enclosing or concurrent run, or the caller, owns the
+    collector, and handing it back early would unfreeze their graph.
+    """
+    with _collector_lock:
+        if gc.get_freeze_count():
+            return None
+        saved = gc.get_threshold()
+        gc.freeze()
+        gc.set_threshold(RUN_GC_THRESHOLD, saved[1], saved[2])
+        return saved
+
+
+def _collector_exit(saved: Optional[tuple[int, int, int]]) -> None:
+    """Undo :func:`_collector_enter`: thresholds back, heap unfrozen."""
+    if saved is not None:
+        with _collector_lock:
+            gc.set_threshold(*saved)
+            gc.unfreeze()
 
 
 def _drain_cancelled(heap: list, ready: deque) -> None:
@@ -317,6 +361,7 @@ class Engine:
         if self._running:
             raise SimulationError("Engine.run() is not reentrant")
         self._running = True
+        collector = _collector_enter()
         # the step() body is inlined here (and in run_until): the loop
         # fires hundreds of thousands of events per scenario and the
         # method-call + double cancel-drop overhead is measurable; the
@@ -370,6 +415,7 @@ class Engine:
         finally:
             self.events_fired += fired
             self._running = False
+            _collector_exit(collector)
 
     def run_until(self, predicate: Callable[[], bool], max_events: int = 50_000_000) -> None:
         """Run until ``predicate()`` becomes true.  Raises if the queues drain first."""
@@ -378,6 +424,7 @@ class Engine:
         if self._running:
             raise SimulationError("Engine.run_until() is not reentrant")
         self._running = True
+        collector = _collector_enter()
         heap = self._heap
         ready = self._ready
         heappop = heapq.heappop
@@ -414,3 +461,4 @@ class Engine:
         finally:
             self.events_fired += fired
             self._running = False
+            _collector_exit(collector)

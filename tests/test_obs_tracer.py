@@ -221,3 +221,16 @@ def test_scenario_chrome_export_roundtrips(tmp_path):
     assert doc["traceEvents"]
     phases = {ev["ph"] for ev in doc["traceEvents"]}
     assert {"M", "B", "E", "C"} <= phases
+
+
+def test_profile_reports_collector_pauses_as_own_row():
+    from repro.obs.profiler import format_report, profile_scenario
+
+    report = profile_scenario("checkpoint", seed=0, top=5)
+    assert report.gc_pause_s >= 0.0
+    assert len(report.gc_collections) == 3
+    assert all(n >= 0 for n in report.gc_collections)
+    rows = [line for line in format_report(report).splitlines() if "(gc pauses)" in line]
+    assert len(rows) == 1
+    assert "billed inside the frames above" in rows[0]
+    assert float(rows[0].split()[2]) >= 0.0

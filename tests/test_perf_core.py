@@ -9,16 +9,20 @@ Covers the properties the optimizations must not bend:
 * :class:`Chunk` stays slotted and frame reassembly stays intact;
 * sparse (virtual-finish-time) fair-share completions match the dense
   per-job scan, for the bandwidth server and the page-cached disk;
-* ``compare_results`` catches metric drift but tolerates wall noise.
+* ``compare_results`` catches metric drift but tolerates wall noise;
+* the committed ``BENCH_summary.json`` is exactly the merge of the
+  committed ``BENCH_*.json`` it rolls up.
 """
 
 import hashlib
+import pathlib
+import shutil
 
 import pytest
 
 import repro.hardware.resources as resources_mod
 import repro.hardware.storage as storage_mod
-from benchmarks._util import compare_results
+from benchmarks._util import compare_results, merge_bench_summary
 from repro.errors import SimulationError
 from repro.hardware.resources import BandwidthResource
 from repro.kernel.streams import (
@@ -391,3 +395,14 @@ def test_compare_results_structure_mismatches_fail():
     assert not ok and any("length" in f for f in failures)
     ok, failures = compare_results({"mode": "gzip"}, {"mode": "raw"})
     assert not ok
+
+
+def test_committed_bench_summary_is_the_merge_of_its_inputs(tmp_path):
+    # BENCH_summary.json is a derived roll-up: re-merging the committed
+    # BENCH_*.json inputs must reproduce it byte for byte
+    root = pathlib.Path(__file__).resolve().parent.parent
+    for path in root.glob("BENCH_*.json"):
+        if path.name != "BENCH_summary.json":
+            shutil.copy(path, tmp_path / path.name)
+    merged = merge_bench_summary(tmp_path)
+    assert merged.read_text() == (root / "BENCH_summary.json").read_text()

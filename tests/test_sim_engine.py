@@ -1,9 +1,14 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
+import threading
+import time
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Engine
+from repro.sim.engine import RUN_GC_THRESHOLD
 
 
 def test_events_fire_in_time_order():
@@ -206,3 +211,145 @@ def test_peek_time_skips_cancelled():
     eng.call_at(2.0, lambda: None)
     ev.cancel()
     assert eng.peek_time() == 2.0
+
+
+# ----------------------------------------------------------------------
+# Run-scoped collector policy
+# ----------------------------------------------------------------------
+
+def _collector_state():
+    return gc.get_threshold(), gc.get_freeze_count()
+
+
+def test_collector_policy_applies_inside_run_and_run_until():
+    seen = []
+
+    def probe():
+        seen.append((gc.get_freeze_count(), gc.get_threshold()[0]))
+
+    eng = Engine()
+    eng.call_at(1.0, probe)
+    eng.run()
+    eng.call_at(2.0, probe)
+    eng.run_until(lambda: len(seen) == 2)
+    assert len(seen) == 2
+    for frozen, gen0 in seen:
+        assert frozen > 0
+        assert gen0 == RUN_GC_THRESHOLD
+
+
+def test_collector_policy_leaves_no_trace_after_return():
+    before = _collector_state()
+    eng = Engine()
+    eng.call_at(1.0, lambda: None)
+    eng.run()
+    assert _collector_state() == before
+    eng.call_at(2.0, lambda: None)
+    eng.run_window(3.0)
+    assert _collector_state() == before
+    eng.call_at(4.0, lambda: None)
+    eng.run_until(lambda: eng.pending == 0)
+    assert _collector_state() == before
+
+
+def _boom():
+    raise RuntimeError("callback failed")
+
+
+def _respawn_forever(eng):
+    eng.call_soon(_respawn_forever, eng)
+
+
+@pytest.mark.parametrize(
+    "drive, exc",
+    [
+        (lambda eng: (eng.call_at(1.0, _boom), eng.run()), RuntimeError),
+        (lambda eng: (eng.call_at(1.0, _boom), eng.run_until(lambda: False)), RuntimeError),
+        (
+            lambda eng: (eng.call_soon(_respawn_forever, eng), eng.run(max_events=100)),
+            SimulationError,
+        ),
+        (
+            lambda eng: (
+                eng.call_soon(_respawn_forever, eng),
+                eng.run_until(lambda: False, max_events=100),
+            ),
+            SimulationError,
+        ),
+        (lambda eng: (eng.call_at(1.0, lambda: None), eng.run_until(lambda: False)),
+         SimulationError),
+    ],
+    ids=["run-raising-callback", "run_until-raising-callback", "run-livelock",
+         "run_until-livelock", "run_until-heap-drained"],
+)
+def test_collector_policy_restored_on_error_paths(drive, exc):
+    before = _collector_state()
+    with pytest.raises(exc):
+        drive(Engine())
+    assert _collector_state() == before
+
+
+def test_collector_policy_nested_engine_keeps_outer_policy():
+    # an engine driven from inside another engine's callback must not
+    # hand the collector back while the outer run still owns it
+    inner_after = []
+
+    def drive_inner():
+        inner = Engine()
+        inner.call_at(1.0, lambda: None)
+        inner.run()
+        inner_after.append((gc.get_freeze_count() > 0, gc.get_threshold()[0]))
+
+    before = _collector_state()
+    outer = Engine()
+    outer.call_at(1.0, drive_inner)
+    outer.run()
+    assert inner_after == [(True, RUN_GC_THRESHOLD)]
+    assert _collector_state() == before
+
+
+def test_collector_policy_concurrent_runs_restore_state(monkeypatch):
+    # the inline shard backend drives engines from concurrent threads.
+    # Force the bad interleaving: run A is paused right after reading
+    # "not frozen", run B enters meanwhile, then B exits before A.
+    # Unsynchronized, A would save B's raised threshold and restore it.
+    import repro.sim.engine as engine_mod
+
+    a_checked = threading.Event()
+    a_in_run = threading.Event()
+
+    class PausingGc:
+        def __getattr__(self, name):
+            return getattr(gc, name)
+
+        def get_freeze_count(self):
+            count = gc.get_freeze_count()
+            if threading.current_thread().name == "run-a" and not a_checked.is_set():
+                a_checked.set()
+                time.sleep(0.2)  # B gets the whole window to enter
+            return count
+
+    monkeypatch.setattr(engine_mod, "gc", PausingGc())
+
+    def run_b():
+        a_checked.wait(timeout=5)
+        eng = Engine()
+        eng.call_at(1.0, a_in_run.wait, 5)
+        eng.run()
+
+    thread_b = threading.Thread(target=run_b, name="run-b")
+
+    def run_a():
+        eng = Engine()
+        eng.call_at(1.0, lambda: (a_in_run.set(), thread_b.join(timeout=5)))
+        eng.run()
+
+    thread_a = threading.Thread(target=run_a, name="run-a")
+    before = _collector_state()
+    thread_b.start()
+    thread_a.start()
+    thread_a.join(timeout=10)
+    thread_b.join(timeout=10)
+    assert not thread_a.is_alive() and not thread_b.is_alive()
+    assert a_in_run.is_set()
+    assert _collector_state() == before
